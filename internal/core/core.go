@@ -25,6 +25,23 @@
 // native condition-variable parking (that parking IS what they measure)
 // and run the handle lists alongside.
 //
+// # Layering
+//
+// Every mechanism embeds host: the lock, the counters, the deadline
+// wheel, the flight-recorder ring, and the wait-time accounting, so
+// Enter, Stats, WaitLatency, ResetStats, and Waiting exist once. Baseline
+// and Explicit additionally embed condMonitor, the condition-variable
+// monitor: one wait loop parks every blocking closure and Cond wait on a
+// sync.Cond and re-checks its predicate on each wake-up, and one set of
+// waiter lists carries the armed handles. The two differ only in what
+// releasing the lock does — Baseline broadcasts on every exit and before
+// every park, Explicit leaves signaling to the program. A cond wait with
+// a context or a deadline allocates one give-up record; cancellation
+// (registered with context.AfterFunc, so no watcher goroutine) and expiry
+// (registered on the timer wheel) both end in its fire, which marks the
+// wait given up and broadcasts its condition — the other waiters re-check,
+// so a signal the abandoning waiter consumed is not lost.
+//
 // Guarded regions are first-class too: When (on a compiled predicate, a
 // closure, or an explicit condition) returns a *Guard whose Do/DoCtx/Try
 // run the whole enter-waituntil-mutate-exit unit atomically with a

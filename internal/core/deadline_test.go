@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -278,4 +279,68 @@ func TestAwaitDeadlineSpellings(t *testing.T) {
 		t.Fatalf("Cond.AwaitTimeout err = %v", err)
 	}
 	e.Exit()
+}
+
+// TestCondGiveUpDeadlineVsSignal: waiter A (a ctx wait, or a deadline
+// wait on odd rounds) parks on an explicit condition first, plain waiter
+// B second, and one critical section sets the state B waits for, signals
+// once, and cancels A's context. The signal goes to A — the oldest
+// waiter — whose predicate asks for a state the round never reaches, so
+// A can only leave by giving up; B then wakes only because the give-up
+// broadcasts the condition. A give-up that swallowed the signal would
+// strand B. Run under -race.
+func TestCondGiveUpDeadlineVsSignal(t *testing.T) {
+	e := NewExplicit()
+	defer testutil.NoLeaks(t, e)()
+	c := e.NewCond()
+	state := 0
+	const rounds = 200
+	for r := 0; r < rounds; r++ {
+		byDeadline := r%2 == 1
+		e.Do(func() { state = 0 })
+		ctx, cancel := context.WithCancel(context.Background())
+		aErr := make(chan error, 1)
+		go func() {
+			e.Enter()
+			defer e.Exit()
+			never := func() bool { return state == 2 }
+			if byDeadline {
+				aErr <- c.AwaitTimeout(10*time.Millisecond, never)
+			} else {
+				aErr <- c.AwaitCtx(ctx, never)
+			}
+		}()
+		testutil.WaitFor(t, 5*time.Second, 0, func() bool { return e.Waiting() == 1 || len(aErr) == 1 },
+			"round %d: A parked", r)
+		bDone := make(chan struct{})
+		go func() {
+			defer close(bDone)
+			e.Enter()
+			defer e.Exit()
+			c.Await(func() bool { return state == 1 })
+		}()
+		// An A whose deadline already passed has left: then B alone counts.
+		testutil.WaitFor(t, 5*time.Second, 0, func() bool {
+			n := e.Waiting()
+			return n == 2 || (n == 1 && len(aErr) == 1)
+		}, "round %d: B parked", r)
+		e.Do(func() { state = 1; c.Signal(); cancel() })
+		select {
+		case <-bDone:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: B never woke after A gave up (signal swallowed)", r)
+		}
+		var err error
+		waitTimeout(t, 5*time.Second, "A", func() { err = <-aErr })
+		want := context.Canceled
+		if byDeadline {
+			want = ErrDeadline
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("round %d: A returned %v, want %v", r, err, want)
+		}
+	}
+	if s := e.Stats(); s.Abandons != rounds || s.Expired != rounds/2 {
+		t.Errorf("Abandons = %d, Expired = %d; want %d, %d", s.Abandons, s.Expired, rounds, rounds/2)
+	}
 }

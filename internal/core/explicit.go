@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/stats"
 )
 
 // Explicit is the instrumented explicit-signal monitor: a mutex with
@@ -22,30 +20,10 @@ import (
 // alongside on per-condition waiter lists whose channels Signal and
 // Broadcast also notify, so explicit monitors offer the full Mechanism
 // handle surface without perturbing the measured signaling discipline.
+// The generic closure waits (AwaitFunc*, ArmFunc) wake whenever the
+// program signals or broadcasts any of the monitor's conditions.
 type Explicit struct {
-	mu      sync.Mutex
-	profile bool
-	in      bool
-	waiting int // registered waiters: parked waits plus armed handles
-	stats   Stats
-
-	// any is the condition behind the Mechanism-interface AwaitFunc and
-	// ArmFunc: a generic waiter with no condition variable of its own
-	// parks here and is woken whenever the program signals or broadcasts
-	// any of the monitor's conditions. anyWaiters and the armed list's
-	// emptiness gate the extra broadcast so signal-heavy workloads that
-	// never use the generic forms pay nothing.
-	any        *sync.Cond
-	anyWaiters int
-	anyArmed   waitList
-
-	pol      policy.Policy // wake policy for armed-handle Signal picks
-	starveNs int64         // starvation threshold; 0 disables Starved
-	seq      uint64        // arrival counter for armed handles
-	wheel    *timerWheel   // deadline wheel, created on first deadline'd wait
-
-	rec *obs.Ring        // flight recorder ring; nil unless recording was active at construction
-	lat *stats.Histogram // wake-to-claim latency, allocated on first completed wait
+	condMonitor
 }
 
 // NewExplicit constructs an explicit-signal monitor.
@@ -54,27 +32,9 @@ func NewExplicit(opts ...Option) *Explicit {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	e := &Explicit{profile: cfg.profile, pol: cfg.policy, starveNs: cfg.starveNs}
-	e.any = sync.NewCond(&e.mu)
-	if rec := obs.Active(); rec != nil {
-		e.rec = rec.NewRing("explicit")
-	}
+	e := &Explicit{}
+	e.init(cfg, "explicit", false)
 	return e
-}
-
-// Enter acquires the monitor.
-func (e *Explicit) Enter() {
-	if e.profile {
-		t0 := time.Now()
-		e.mu.Lock()
-		e.stats.LockNs += time.Since(t0).Nanoseconds()
-	} else {
-		e.mu.Lock()
-	}
-	if e.rec != nil {
-		e.rec.Record(obs.KEnter, 0, 0)
-	}
-	e.in = true
 }
 
 // Exit releases the monitor. No signaling happens implicitly.
@@ -96,300 +56,6 @@ func (e *Explicit) Do(f func()) {
 	f()
 }
 
-// notifyAny wakes the generic AwaitFunc/ArmFunc waiters after a manual
-// signal.
-func (e *Explicit) notifyAny() {
-	if e.anyWaiters > 0 {
-		e.any.Broadcast()
-	}
-	if len(e.anyArmed.ws) > 0 {
-		e.anyArmed.broadcast(nil)
-	}
-}
-
-// AwaitFunc blocks until pred() holds, waking whenever the program signals
-// or broadcasts any condition of this monitor. It is the explicit
-// monitor's implementation of the Mechanism interface: generic drivers can
-// wait without owning a condition variable, while the program's own
-// signaling discipline stays manual. A waiter starves if nothing is ever
-// signaled — use NewCond and precise signals in real explicit-monitor
-// code.
-func (e *Explicit) AwaitFunc(pred func() bool) {
-	_ = e.awaitAny(nil, time.Time{}, pred)
-}
-
-// AwaitFuncCtx is AwaitFunc with cancellation; on a done context the
-// waiter returns ctx.Err() still holding the monitor.
-func (e *Explicit) AwaitFuncCtx(ctx context.Context, pred func() bool) error {
-	return e.awaitAny(ctx, time.Time{}, pred)
-}
-
-// AwaitFuncDeadline is AwaitFunc with an absolute deadline: if the
-// predicate has not become true by then the waiter gives up and returns
-// ErrDeadline, still holding the monitor. The expiry broadcast wakes the
-// condition's other waiters too, which re-check and re-park as after any
-// broadcast; like cancellation, an observed expiry wins a race against
-// the predicate becoming true.
-func (e *Explicit) AwaitFuncDeadline(deadline time.Time, pred func() bool) error {
-	return e.awaitAny(nil, deadline, pred)
-}
-
-// AwaitFuncTimeout is AwaitFuncDeadline with a relative duration.
-func (e *Explicit) AwaitFuncTimeout(d time.Duration, pred func() bool) error {
-	return e.awaitAny(nil, time.Now().Add(d), pred)
-}
-
-func (e *Explicit) awaitAny(ctx context.Context, deadline time.Time, pred func() bool) error {
-	if !e.in {
-		panic("autosynch: AwaitFunc outside the monitor; call Enter first")
-	}
-	e.stats.Awaits++
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		e.stats.Expired++
-		return ErrDeadline
-	}
-	if pred() {
-		e.stats.FastPath++
-		return nil
-	}
-	e.anyWaiters++
-	defer func() { e.anyWaiters-- }()
-	return e.waitLoop(ctx, deadline, e.any, pred)
-}
-
-// waitLoop is the shared wake/re-check loop for Cond.Await and AwaitFunc,
-// with optional context cancellation and deadline expiry. Runs (and
-// returns) with the monitor lock held.
-func (e *Explicit) waitLoop(ctx context.Context, deadline time.Time, cond *sync.Cond, pred func() bool) error {
-	var cw *ctxWaiter
-	if ctx != nil && ctx.Done() != nil {
-		cw = &ctxWaiter{}
-		defer watchCtx(ctx, &e.mu, cw, cond)()
-	}
-	if !deadline.IsZero() {
-		if cw == nil {
-			cw = &ctxWaiter{}
-		}
-		defer watchDeadline(e.timers(), deadline, &e.mu, cw, cond)()
-	}
-	since := time.Now().UnixNano()
-	e.waiting++
-	for {
-		if e.profile {
-			t0 := time.Now()
-			cond.Wait()
-			e.stats.AwaitNs += time.Since(t0).Nanoseconds()
-		} else {
-			cond.Wait()
-		}
-		if cw != nil && cw.cancelled {
-			if cw.err == ErrDeadline {
-				e.stats.Expired++
-				if e.rec != nil {
-					e.rec.Record(obs.KExpire, 0, 0)
-				}
-			}
-			e.stats.Abandons++
-			if e.rec != nil {
-				e.rec.Record(obs.KCancel, 0, 0)
-			}
-			e.waiting--
-			e.in = true
-			return cw.err
-		}
-		e.stats.Wakeups++
-		if pred() {
-			break
-		}
-		e.stats.FutileWakeups++
-		if e.rec != nil {
-			e.rec.Record(obs.KFutileWake, 0, 0)
-		}
-	}
-	e.waiting--
-	e.in = true
-	if cw != nil {
-		cw.finished = true
-	}
-	if e.rec != nil {
-		e.rec.Record(obs.KClaim, 0, 0)
-	}
-	e.observeWait(since, 0)
-	return nil
-}
-
-// observeWait folds a completed wait's duration into the fairness
-// counters. Runs under the monitor lock; seq identifies the waiter in
-// recorded events (0 for parked condition waiters, which carry no seq).
-func (e *Explicit) observeWait(since int64, seq uint64) {
-	if since == 0 {
-		return
-	}
-	ns := time.Now().UnixNano() - since
-	if ns > e.stats.MaxWaitNs {
-		e.stats.MaxWaitNs = ns
-	}
-	if e.starveNs > 0 && ns > e.starveNs {
-		e.stats.Starved++
-		if e.rec != nil {
-			e.rec.Record(obs.KStarved, seq, ns)
-		}
-	}
-	if e.lat == nil {
-		e.lat = new(stats.Histogram)
-	}
-	e.lat.Observe(time.Duration(ns))
-}
-
-// timers lazily creates the monitor's deadline wheel. Runs under the
-// monitor lock.
-func (e *Explicit) timers() *timerWheel {
-	if e.wheel == nil {
-		e.wheel = newTimerWheel()
-	}
-	return e.wheel
-}
-
-// statExpired counts a handle that ended at its deadline. Runs under the
-// monitor lock.
-func (e *Explicit) statExpired(w *Wait) {
-	e.stats.Expired++
-	if e.rec != nil {
-		e.rec.Record(obs.KExpire, w.seq, 0)
-	}
-}
-
-// ArmFunc registers a generic any-signal waiter without blocking and
-// returns its handle: any manual Signal or Broadcast on any of the
-// monitor's conditions notifies it, and Claim re-validates the closure
-// under the lock. See Wait for the select-composition contract. ArmFunc
-// acquires the monitor internally: call it outside Enter/Exit.
-func (e *Explicit) ArmFunc(pred func() bool) *Wait {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.armOn(&e.anyArmed, pred)
-}
-
-// armOn registers a handle on a waiter list, with the immediate
-// notification when the predicate already holds. Runs under the lock.
-func (e *Explicit) armOn(l *waitList, pred func() bool) *Wait {
-	e.stats.Arms++
-	w := newWait(e)
-	w.pred = pred
-	e.seq++
-	w.seq = e.seq
-	w.since = time.Now().UnixNano()
-	if e.pol != nil {
-		w.rank = e.pol.Rank(nil)
-	}
-	if e.rec != nil {
-		e.rec.Record(obs.KArm, w.seq, w.rank)
-	}
-	l.add(w)
-	e.waiting++
-	if pred() {
-		w.notify()
-	}
-	return w
-}
-
-// TryFunc is the non-blocking degenerate case of AwaitFunc: one
-// evaluation inside the monitor, no parking, no arming.
-func (e *Explicit) TryFunc(pred func() bool) bool {
-	if !e.in {
-		panic("autosynch: TryFunc outside the monitor; call Enter first")
-	}
-	return pred()
-}
-
-// lockWait and unlockWait expose the monitor lock to the handle methods.
-func (e *Explicit) lockWait()   { e.mu.Lock() }
-func (e *Explicit) unlockWait() { e.mu.Unlock() }
-
-// claimLocked re-validates a handle's closure; on success the claimer
-// holds the monitor, on failure the handle is re-armed for the next
-// signal of its condition (or any signal, for ArmFunc handles). The
-// re-armed handle rotates behind its list's later registrants, matching a
-// condition queue's FIFO fairness.
-func (e *Explicit) claimLocked(w *Wait) error {
-	if w.pred() {
-		e.stats.Claims++
-		w.state = waitClaimed
-		if e.rec != nil {
-			e.rec.Record(obs.KClaim, w.seq, 0)
-		}
-		e.observeWait(w.since, w.seq)
-		w.list.remove(w)
-		e.waiting--
-		e.in = true
-		return nil
-	}
-	e.stats.FutileClaims++
-	if e.rec != nil {
-		e.rec.Record(obs.KFutileClaim, w.seq, 0)
-	}
-	w.rearm()
-	w.list.requeue(w)
-	return ErrNotReady
-}
-
-// cancelLocked drops a cancelled handle from its condition's list; the
-// manual signaling discipline needs no further repair.
-func (e *Explicit) cancelLocked(w *Wait) {
-	e.stats.Abandons++
-	if e.rec != nil {
-		e.rec.Record(obs.KCancel, w.seq, 0)
-	}
-	w.list.remove(w)
-	e.waiting--
-}
-
-// Stats returns a snapshot of the counters, with the flight-recorder
-// fields folded in from the ring.
-func (e *Explicit) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.stats
-	if e.rec != nil {
-		s.ObsEvents = e.rec.Writes()
-		s.ObsDrops = e.rec.Drops()
-	}
-	return s
-}
-
-// WaitLatency returns a copy of the wake-to-claim latency histogram, or
-// nil if no wait has completed.
-func (e *Explicit) WaitLatency() *stats.Histogram {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.lat == nil {
-		return nil
-	}
-	h := *e.lat
-	return &h
-}
-
-// ResetStats zeroes the counters.
-func (e *Explicit) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats = Stats{}
-}
-
-// Waiting returns the number of registered waiters across all of the
-// monitor's conditions (parked waits plus armed handles); tests poll it
-// instead of sleeping, and assert zero to prove no handle leaked.
-func (e *Explicit) Waiting() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.waiting
-}
-
 // Cond is an explicit condition variable bound to its monitor's lock.
 type Cond struct {
 	m     *Explicit
@@ -405,7 +71,7 @@ func (e *Explicit) NewCond() *Cond {
 // Await blocks until pred() holds, re-checking after every wake-up — the
 // standard while-loop idiom around Condition.await.
 func (c *Cond) Await(pred func() bool) {
-	_ = c.await(nil, time.Time{}, pred)
+	_ = c.m.await(nil, time.Time{}, c.cond, pred)
 }
 
 // AwaitCtx is Await with cancellation: a waiter whose context is done
@@ -413,39 +79,22 @@ func (c *Cond) Await(pred func() bool) {
 // the monitor. The cancellation wakes the condition's other waiters too;
 // they re-check their predicates and park again, as after any broadcast.
 func (c *Cond) AwaitCtx(ctx context.Context, pred func() bool) error {
-	return c.await(ctx, time.Time{}, pred)
+	return c.m.await(ctx, time.Time{}, c.cond, pred)
 }
 
-// AwaitDeadline is Await with an absolute deadline; see
-// Explicit.AwaitFuncDeadline for the expiry semantics.
+// AwaitDeadline is Await with an absolute deadline: if the predicate has
+// not become true by then the waiter gives up and returns ErrDeadline,
+// still holding the monitor. The expiry broadcast wakes the condition's
+// other waiters too, which re-check and re-park as after any broadcast;
+// like cancellation, an observed expiry wins a race against the
+// predicate becoming true.
 func (c *Cond) AwaitDeadline(deadline time.Time, pred func() bool) error {
-	return c.await(nil, deadline, pred)
+	return c.m.await(nil, deadline, c.cond, pred)
 }
 
 // AwaitTimeout is AwaitDeadline with a relative duration.
 func (c *Cond) AwaitTimeout(d time.Duration, pred func() bool) error {
-	return c.await(nil, time.Now().Add(d), pred)
-}
-
-func (c *Cond) await(ctx context.Context, deadline time.Time, pred func() bool) error {
-	if !c.m.in {
-		panic("autosynch: Cond.Await outside the monitor; call Enter first")
-	}
-	c.m.stats.Awaits++
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		c.m.stats.Expired++
-		return ErrDeadline
-	}
-	if pred() {
-		c.m.stats.FastPath++
-		return nil
-	}
-	return c.m.waitLoop(ctx, deadline, c.cond, pred)
+	return c.m.await(nil, time.Now().Add(d), c.cond, pred)
 }
 
 // Arm registers a waiter on this condition without blocking and returns
@@ -463,7 +112,9 @@ func (c *Cond) Arm(pred func() bool) *Wait {
 // waiter populations: one parked goroutine (if any) and one armed handle
 // — the handle re-validates at claim time, so the at-most-one-consumer
 // contract of the underlying state is preserved by the predicates
-// themselves, as everywhere in an explicit monitor.
+// themselves, as everywhere in an explicit monitor. With a wake policy
+// the armed handle is the policy's pick; the parked goroutine is the one
+// sync.Cond picks.
 func (c *Cond) Signal() {
 	c.m.stats.Signals++
 	c.cond.Signal()

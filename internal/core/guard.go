@@ -139,7 +139,7 @@ func (e *Explicit) WhenFunc(pred func() bool) *Guard { return whenFunc(e, pred) 
 func (c *Cond) When(pred func() bool) *Guard {
 	return &Guard{
 		mech:  c.m,
-		await: func(ctx context.Context) error { return c.await(ctx, time.Time{}, pred) },
+		await: func(ctx context.Context) error { return c.m.await(ctx, time.Time{}, c.cond, pred) },
 		try:   func() bool { return c.m.TryFunc(pred) },
 		arm:   func() *Wait { return c.Arm(pred) },
 	}

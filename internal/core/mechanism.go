@@ -79,7 +79,8 @@ type Mechanism interface {
 }
 
 // The three mechanisms implement the interface, and each doubles as the
-// host of its own handles.
+// host of its own handles (through the embedded host and, for Baseline
+// and Explicit, condMonitor).
 var (
 	_ Mechanism = (*Monitor)(nil)
 	_ Mechanism = (*Baseline)(nil)

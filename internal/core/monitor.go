@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // ErrNeverTrue is the sentinel cause reported (wrapped in a
@@ -28,29 +26,11 @@ var ErrNeverTrue = errors.New("autosynch: globalized predicate is constant false
 // By default the monitor is the full AutoSynch mechanism with predicate
 // tagging; construct with WithoutTagging for the AutoSynch-T variant.
 type Monitor struct {
-	mu    sync.Mutex
 	cfg   config
 	vars  map[string]*varSlot
 	preds map[string]*Predicate
 	cm    *condManager
-	in    bool // a thread is inside the monitor (diagnostics only)
-
-	waiting int // registered waiters: parked Awaits plus armed handles
-	stats   Stats
-
-	seq   uint64      // arrival counter stamped on waiters; policy sort key
-	wheel *timerWheel // deadline wheel, created on first deadline-aware wait
-
-	// Flight recorder ring, bound once at construction when an obs
-	// recorder is active process-wide, nil otherwise. Every event site is
-	// gated by a plain nil check of this field — the field is set before
-	// the monitor is shared, so no atomics are needed and the disabled
-	// path costs one predictable branch.
-	rec *obs.Ring
-
-	// Wake-to-claim latency, allocated lazily on the first completed
-	// (non-fast-path) wait so monitors that never park stay alloc-free.
-	lat *stats.Histogram
+	host
 }
 
 // New constructs a monitor.
@@ -64,10 +44,8 @@ func New(opts ...Option) *Monitor {
 		vars:  map[string]*varSlot{},
 		preds: map[string]*Predicate{},
 	}
+	m.init(cfg, "monitor")
 	m.cm = newCondManager(m)
-	if rec := obs.Active(); rec != nil {
-		m.rec = rec.NewRing("monitor")
-	}
 	return m
 }
 
@@ -125,22 +103,6 @@ func validVarName(name string) bool {
 	}
 	_, isVar := n.(expr.Var)
 	return isVar
-}
-
-// Enter acquires the monitor, like calling a member function of an
-// AutoSynch class. Monitors are not reentrant.
-func (m *Monitor) Enter() {
-	if m.cfg.profile {
-		t0 := time.Now()
-		m.mu.Lock()
-		m.stats.LockNs += time.Since(t0).Nanoseconds()
-	} else {
-		m.mu.Lock()
-	}
-	if m.rec != nil {
-		m.rec.Record(obs.KEnter, 0, 0)
-	}
-	m.in = true
 }
 
 // Exit relays a signal to a waiter whose condition has become true (the
@@ -465,7 +427,7 @@ func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank i
 	if m.rec != nil {
 		m.rec.Record(obs.KClaim, w.seq, 0)
 	}
-	m.observeWaitDone(w)
+	m.observeWait(w.since, w.seq)
 	m.cm.unregister(w)
 	m.retireIfIdle(e)
 	m.in = true
@@ -545,31 +507,6 @@ func (m *Monitor) abandon(w *Wait, err error) error {
 	return err
 }
 
-// observeWaitDone folds a completing waiter's wait time into the
-// fairness counters: MaxWaitNs keeps the longest registration-to-
-// completion wait, and Starved counts completions past the configured
-// threshold. Runs under the monitor lock; waiters that never registered
-// (fast paths, folded-true arms) have since == 0 and are skipped.
-func (m *Monitor) observeWaitDone(w *Wait) {
-	if w.since == 0 {
-		return
-	}
-	ns := time.Now().UnixNano() - w.since
-	if ns > m.stats.MaxWaitNs {
-		m.stats.MaxWaitNs = ns
-	}
-	if m.cfg.starveNs > 0 && ns > m.cfg.starveNs {
-		m.stats.Starved++
-		if m.rec != nil {
-			m.rec.Record(obs.KStarved, w.seq, ns)
-		}
-	}
-	if m.lat == nil {
-		m.lat = new(stats.Histogram)
-	}
-	m.lat.Observe(time.Duration(ns))
-}
-
 // rankFor computes a waiter's policy rank once, at registration time:
 // the caller's locals cannot change while it waits (Proposition 1), so a
 // rank taken from the binding snapshot stays valid for the wait's whole
@@ -601,53 +538,6 @@ func (m *Monitor) retireIfIdle(e *entry) {
 	m.cm.deactivate(e)
 }
 
-// Stats returns a snapshot of the monitor's counters. The flight-
-// recorder fields (ObsEvents/ObsDrops) are folded in from the ring here
-// rather than maintained per event, so they survive ResetStats as long
-// as the ring does.
-func (m *Monitor) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	if m.rec != nil {
-		s.ObsEvents = m.rec.Writes()
-		s.ObsDrops = m.rec.Drops()
-	}
-	return s
-}
-
-// WaitLatency returns a copy of the monitor's wake-to-claim latency
-// histogram — registration to completion of every non-fast-path wait —
-// or nil if no wait has completed.
-func (m *Monitor) WaitLatency() *stats.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lat == nil {
-		return nil
-	}
-	h := *m.lat
-	return &h
-}
-
-// ResetStats zeroes the counters (between benchmark warm-up and the
-// measured phase).
-func (m *Monitor) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
-}
-
-// Waiting returns the number of registered waiters: goroutines parked in
-// Await or AwaitFunc plus armed, unclaimed handles. The count becomes
-// visible only once the waiter is fully registered (it is updated under
-// the monitor lock), so tests can poll it to know a waiter has parked —
-// and assert it returns to zero to prove no handle leaked.
-func (m *Monitor) Waiting() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.waiting
-}
-
 // PendingSignals returns the number of relay signals issued and not yet
 // consumed by a woken or claiming waiter — the pending count of the
 // relay rule (at most 1 under the single-signal discipline). Protocol
@@ -674,28 +564,28 @@ func (m *Monitor) DebugCounts() (active, inactive, groups, none int) {
 
 // profileStart returns the phase start time when profiling is on.
 func (m *Monitor) profileStart() time.Time {
-	if !m.cfg.profile {
+	if !m.profile {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
 func (m *Monitor) profileEndTag(t0 time.Time) {
-	if !m.cfg.profile || t0.IsZero() {
+	if !m.profile || t0.IsZero() {
 		return
 	}
 	m.stats.TagMgmtNs += time.Since(t0).Nanoseconds()
 }
 
 func (m *Monitor) profileEndRelay(t0 time.Time) {
-	if !m.cfg.profile || t0.IsZero() {
+	if !m.profile || t0.IsZero() {
 		return
 	}
 	m.stats.RelayNs += time.Since(t0).Nanoseconds()
 }
 
 func (m *Monitor) profileEndAwait(t0 time.Time) {
-	if !m.cfg.profile || t0.IsZero() {
+	if !m.profile || t0.IsZero() {
 		return
 	}
 	m.stats.AwaitNs += time.Since(t0).Nanoseconds()
@@ -740,29 +630,6 @@ func (m *Monitor) armEntry(e *entry, rank int64) *Wait {
 	return w
 }
 
-// lockWait and unlockWait expose the monitor lock to the generic handle
-// methods.
-func (m *Monitor) lockWait()   { m.mu.Lock() }
-func (m *Monitor) unlockWait() { m.mu.Unlock() }
-
-// timers lazily creates the monitor's deadline wheel. Runs under the
-// monitor lock.
-func (m *Monitor) timers() *timerWheel {
-	if m.wheel == nil {
-		m.wheel = newTimerWheel()
-	}
-	return m.wheel
-}
-
-// statExpired counts a handle that ended at its deadline. Runs under the
-// monitor lock.
-func (m *Monitor) statExpired(w *Wait) {
-	m.stats.Expired++
-	if m.rec != nil {
-		m.rec.Record(obs.KExpire, w.seq, 0)
-	}
-}
-
 // claimLocked re-validates an armed handle's predicate under the monitor
 // lock. On success the waiter is unregistered, the handle is spent, and
 // the monitor stays HELD for the caller; on failure the handle is
@@ -786,7 +653,7 @@ func (m *Monitor) claimLocked(w *Wait) error {
 		if m.rec != nil {
 			m.rec.Record(obs.KClaim, w.seq, 0)
 		}
-		m.observeWaitDone(w)
+		m.observeWait(w.since, w.seq)
 		m.cm.unregister(w)
 		m.retireIfIdle(w.e)
 		m.in = true

@@ -80,11 +80,13 @@ func WithDNFLimit(n int) Option {
 }
 
 // WithPolicy selects the monitor's wake policy (policy.FIFO, policy.LIFO,
-// policy.Priority, or a custom total order): whenever the relay rule — or
-// an Explicit condition's Signal — has several eligible waiters, the
-// policy decides which one wakes. Without a policy the runtime keeps the
-// paper's behavior: the first eligible waiter the (tag-pruned) scan
-// visits, which is cheapest but unspecified.
+// policy.Priority, or a custom total order): whenever the relay rule has
+// several eligible waiters, the policy decides which one wakes. Without a
+// policy the runtime keeps the paper's behavior: the first eligible
+// waiter the (tag-pruned) scan visits, which is cheapest but unspecified.
+// On an Explicit condition the policy ranks armed handles only — Signal
+// notifies the policy's best handle — while goroutines parked in
+// Cond.Await wake in sync.Cond order.
 //
 // A policy-governed relay scan is exhaustive across entries (tag pruning
 // can find *a* true waiter early, but the policy must compare *all* of

@@ -113,10 +113,19 @@ func TestSelectAcrossMechanisms(t *testing.T) {
 func TestSelectClaimVsFalsify(t *testing.T) {
 	m := New()
 	x := m.NewInt("x", 0)
+	finished := m.NewBool("finished", false)
 	g := m.MustCompile("x > 0").When()
+	// Whichever side consumes the last token sets finished, so a Select
+	// still parked when the thief takes it ends on that event.
+	fin := m.MustCompile("finished").When()
 
 	const tokens = 300
 	var bySelect, byThief int64
+	markFinished := func() {
+		if bySelect+byThief >= tokens {
+			finished.Set(true)
+		}
+	}
 	done := make(chan struct{})
 	// The thief consumes inside plain critical sections, never waiting.
 	go func() {
@@ -127,6 +136,7 @@ func TestSelectClaimVsFalsify(t *testing.T) {
 				if x.Get() > 0 {
 					x.Add(-1)
 					byThief++
+					markFinished()
 				}
 				stop = bySelect+byThief >= tokens
 			})
@@ -141,22 +151,15 @@ func TestSelectClaimVsFalsify(t *testing.T) {
 		}
 	}()
 	for {
-		var quit bool
-		m.Do(func() { quit = bySelect+byThief >= tokens })
-		if quit {
-			break
-		}
 		idx, err := SelectCtx(timeoutCtx(t, 30*time.Second),
-			g.Then(func() { x.Add(-1); bySelect++ }),
+			g.Then(func() { x.Add(-1); bySelect++; markFinished() }),
+			fin.Then(func() {}),
 		)
 		if err != nil {
-			// The thief may have consumed the last token while we parked.
-			var fin bool
-			m.Do(func() { fin = bySelect+byThief >= tokens })
-			if fin {
-				break
-			}
 			t.Fatalf("Select: idx=%d err=%v", idx, err)
+		}
+		if idx == 1 {
+			break
 		}
 	}
 	<-done
@@ -175,7 +178,12 @@ func TestSelectClaimVsFalsify(t *testing.T) {
 func timeoutCtx(t *testing.T, d time.Duration) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), d)
-	t.Cleanup(cancel)
+	t.Cleanup(func() {
+		if ctx.Err() == context.DeadlineExceeded {
+			t.Errorf("context expired after %v (lost wake-up?)", d)
+		}
+		cancel()
+	})
 	return ctx
 }
 

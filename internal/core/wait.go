@@ -47,9 +47,11 @@ const (
 	waitCancelled
 )
 
-// waitHost is the mechanism half of a handle: each monitor type supplies
-// its own lock plus the registration-aware claim and cancel steps, so one
-// Wait type serves Monitor, Baseline, and Explicit uniformly.
+// waitHost is the mechanism half of a handle: the shared host supplies
+// the lock, the timer wheel, and expiry accounting, and Monitor (relay)
+// or condMonitor (waiter lists) the registration-aware claim and cancel
+// steps, so one Wait type serves Monitor, Baseline, and Explicit
+// uniformly.
 type waitHost interface {
 	lockWait()
 	unlockWait()
